@@ -477,35 +477,30 @@ class MigrationExecutor:
         final_home: Dict[int, int],
         report: MigrationReport,
     ) -> None:
-        """Retire one migrated vertex's source copy (post-commit, local)."""
-        source = self.servers[move.source]
-        store = source.store
-        entries = list(
-            store.neighbor_entries(move.vertex, include_unavailable=True)
-        )
-        for entry in entries:
-            other = entry.neighbor
-            other_here = (
+        """Retire one migrated vertex's source copy (post-commit, local).
+
+        One walk over the vertex's chain: an edge whose other endpoint
+        stays on this server now crosses partitions, so its record is
+        kept for that endpoint with the migrated side NULLed and its
+        ghost role recomputed (primary follows src); every other record
+        is deleted.  Each walked record and the node record cost one
+        local visit.
+        """
+        store = self.servers[move.source].store
+
+        def kept_ghost(record) -> Optional[bool]:
+            other = record.other_endpoint(move.vertex)
+            if not (
                 store.has_node(other)
                 and self._home_after(other, final_home) == move.source
-            )
-            if other_here:
-                # The edge now crosses partitions: keep the record for
-                # the staying endpoint, null the migrated side, and
-                # recompute its ghost role (primary follows src).
-                store.detach_endpoint(entry.rel_id, move.vertex)
-                record = store.relationship(entry.rel_id)
-                should_be_ghost = (
-                    self._home_after(record.src, final_home) != move.source
-                )
-                if record.ghost != should_be_ghost:
-                    store.set_ghost(entry.rel_id, should_be_ghost)
-                report.relationships_rewritten += 1
-            else:
-                store.delete_relationship(entry.rel_id)
-                report.relationships_rewritten += 1
+            ):
+                return None
+            return self._home_after(record.src, final_home) != move.source
+
+        walked = store.retire_node(move.vertex, kept_ghost)
+        report.relationships_rewritten += walked
+        for _ in range(walked):
             report.remove_cost += self.network.local_visit()
-        store.remove_node_record(move.vertex)
         report.remove_cost += self.network.local_visit()
 
     # ------------------------------------------------------------------

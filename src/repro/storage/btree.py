@@ -21,6 +21,10 @@ from typing import Any, Iterator, List, Optional, Tuple
 from repro.exceptions import StorageError
 
 
+#: ``get`` default that no stored value can be
+_MISSING = object()
+
+
 class _Node:
     __slots__ = ("keys", "children", "values", "next_leaf", "prev_leaf")
 
@@ -56,10 +60,13 @@ class BPlusTree:
     # Lookup
     # ------------------------------------------------------------------
     def _find_leaf(self, key: int) -> _Node:
+        # ``children`` directly, not ``is_leaf``: this runs at every level
+        # of every record lookup.
         node = self._root
-        while not node.is_leaf:
-            index = bisect.bisect_right(node.keys, key)
-            node = node.children[index]
+        children = node.children
+        while children is not None:
+            node = children[bisect.bisect_right(node.keys, key)]
+            children = node.children
         return node
 
     def get(self, key: int, default: Any = None) -> Any:
@@ -70,8 +77,7 @@ class BPlusTree:
         return default
 
     def __contains__(self, key: int) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
+        return self.get(key, _MISSING) is not _MISSING
 
     def __len__(self) -> int:
         return self._size

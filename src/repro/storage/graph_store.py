@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.exceptions import StorageError, VertexUnavailableError
 from repro.storage.ids import IdAllocator
@@ -148,13 +148,7 @@ class GraphStore:
 
     def delete_node(self, node_id: int) -> None:
         """Remove a node, all its relationship records and its properties."""
-        record = self.nodes.read(node_id)
-        entries = list(self.neighbor_entries(node_id, include_unavailable=True))
-        for entry in entries:
-            self.delete_relationship(entry.rel_id)
-        self._delete_property_chain(record.first_prop)
-        self.nodes.delete(node_id)
-        self._notify_node_removed(node_id)
+        self.retire_node(node_id)
 
     def node_ids(self) -> Iterator[int]:
         return self.nodes.ids()
@@ -219,10 +213,12 @@ class GraphStore:
         if dst_local:
             record = self._link_into_chain(record, dst)
         self.relationships.write(record)
-        for key, value in (properties or {}).items():
-            self.set_relationship_property(rel_id, key, value)
+        if properties:
+            for key, value in properties.items():
+                self.set_relationship_property(rel_id, key, value)
+            record = self.relationships.read(rel_id)
         self._notify_rel(rel_id)
-        return self.relationships.read(rel_id)
+        return record
 
     def _link_into_chain(
         self, record: RelationshipRecord, node_id: int
@@ -231,8 +227,7 @@ class GraphStore:
         written; the updated record is returned for the caller to write)."""
         node = self.nodes.read(node_id)
         old_first = node.first_rel
-        record = record.with_next_for(node_id, old_first)
-        record = record.with_prev_for(node_id, NULL_REF)
+        record = record.with_links_for(node_id, NULL_REF, old_first)
         if old_first != NULL_REF:
             first = self.relationships.read(old_first)
             self.relationships.write(first.with_prev_for(node_id, record.rel_id))
@@ -261,13 +256,23 @@ class GraphStore:
         Guards against double-linking when a record was created with both
         endpoints local (``create_relationship`` links every local
         endpoint) and a later path would attach one of them again.
+
+        O(1), by the chain-membership invariant: an endpoint's prev/next
+        pointers are NULL whenever the record is not in that endpoint's
+        chain (``create_relationship`` links only local endpoints, every
+        unlink NULLs or deletes).  So a record is linked exactly when it
+        heads the chain or has a predecessor in it.  An absent record, or
+        a node that is not one of its endpoints, answers False.
         """
-        return any(
-            entry.rel_id == rel_id
-            for entry in self.neighbor_entries(
-                node_id, include_unavailable=True
-            )
-        )
+        node = self.nodes.read(node_id)
+        if rel_id not in self.relationships:
+            return False
+        if node.first_rel == rel_id:
+            return True
+        record = self.relationships.read(rel_id)
+        if node_id != record.src and node_id != record.dst:
+            return False
+        return record.prev_for(node_id) != NULL_REF
 
     def relationship(self, rel_id: int) -> RelationshipRecord:
         return self.relationships.read(rel_id)
@@ -303,20 +308,66 @@ class GraphStore:
         when one endpoint migrates away."""
         record = self.relationships.read(rel_id)
         self._unlink_from_chain(record, node_id)
-        record = record.with_prev_for(node_id, NULL_REF)
-        record = record.with_next_for(node_id, NULL_REF)
-        self.relationships.write(record)
+        self.relationships.write(record.with_links_for(node_id, NULL_REF, NULL_REF))
 
     def remove_node_record(self, node_id: int) -> None:
-        """Migration remove step: drop a node whose chain is already empty."""
+        """Drop a node whose chain is already empty (copy-step rollback)."""
         record = self.nodes.read(node_id)
         if record.first_rel != NULL_REF:
             raise StorageError(
                 f"node {node_id} still has relationships; detach them first"
             )
+        self._drop_node(record)
+
+    def _drop_node(self, record: NodeRecord) -> None:
         self._delete_property_chain(record.first_prop)
-        self.nodes.delete(node_id)
-        self._notify_node_removed(node_id)
+        self.nodes.delete(record.node_id)
+        self._notify_node_removed(record.node_id)
+
+    def retire_node(
+        self,
+        node_id: int,
+        kept_ghost: Optional[Callable[[RelationshipRecord], Optional[bool]]] = None,
+    ) -> int:
+        """Drop ``node_id`` and its whole relationship chain in one walk.
+
+        ``kept_ghost(record)`` decides each chain record's fate: ``None``
+        deletes it; a bool keeps it for the staying local endpoint, with
+        that ghost flag.  A kept record gets the departing side's pointers
+        NULLed (and, when its role flips, the :meth:`set_ghost` treatment).
+        A deleted record is unlinked only from the other endpoint's chain,
+        when that endpoint is local.  The departing chain itself is never
+        rewritten pointer by pointer: every record in it is NULLed on this
+        side or deleted, and the node record goes last.  Without
+        ``kept_ghost`` every record is deleted (:meth:`delete_node`).
+
+        The resulting store is byte-identical to unlinking record by
+        record (:meth:`detach_endpoint` / :meth:`delete_relationship`,
+        then :meth:`remove_node_record`): the same records are deleted in
+        the same order, so freed slots recycle identically, and the
+        observer sees the same notifications.  Returns the number of chain
+        records walked.
+        """
+        node = self.nodes.read(node_id)
+        walked = 0
+        for record in self._chain(node_id, node.first_rel):
+            walked += 1
+            ghost = None if kept_ghost is None else kept_ghost(record)
+            if ghost is None:
+                other = record.other_endpoint(node_id)
+                if other in self.nodes:
+                    self._unlink_from_chain(record, other)
+                self._delete_property_chain(record.first_prop)
+                self.relationships.delete(record.rel_id)
+                self._notify_rel_removed(record.rel_id)
+                continue
+            record = record.with_links_for(node_id, NULL_REF, NULL_REF)
+            if record.ghost == ghost:
+                self.relationships.write(record)
+            else:
+                self._write_ghost_role(record, ghost)
+        self._drop_node(node)
+        return walked
 
     def set_ghost(self, rel_id: int, ghost: bool) -> None:
         """Flip a record between primary and ghost (migration merge step).
@@ -324,12 +375,14 @@ class GraphStore:
         Downgrading to ghost drops the property chain, since ghosts hold
         no property information.
         """
-        record = self.relationships.read(rel_id)
+        self._write_ghost_role(self.relationships.read(rel_id), ghost)
+
+    def _write_ghost_role(self, record: RelationshipRecord, ghost: bool) -> None:
         if ghost and record.first_prop != NULL_REF:
             self._delete_property_chain(record.first_prop)
             record = record.with_first_prop(NULL_REF)
         self.relationships.write(record.with_ghost(ghost))
-        self._notify_rel(rel_id)
+        self._notify_rel(record.rel_id)
 
     # ==================================================================
     # Adjacency (fully local thanks to ghost records)
@@ -346,7 +399,21 @@ class GraphStore:
             record = self.nodes.read(node_id)
         else:
             record = self._require_available(node_id)
-        rel_id = record.first_rel
+        for rel in self._chain(node_id, record.first_rel):
+            yield NeighborEntry(
+                neighbor=rel.other_endpoint(node_id),
+                rel_id=rel.rel_id,
+                ghost=rel.ghost,
+            )
+
+    def _chain(self, node_id: int, first_rel: int) -> Iterator[RelationshipRecord]:
+        """Decode ``node_id``'s chain from ``first_rel``, one read per record.
+
+        The next pointer comes from the record as decoded, so a caller may
+        rewrite or delete each record as it is yielded.  A chain longer
+        than the store (a cycle) raises instead of looping.
+        """
+        rel_id = first_rel
         steps = 0
         limit = len(self.relationships) + 1
         while rel_id != NULL_REF:
@@ -354,11 +421,7 @@ class GraphStore:
             if steps > limit:
                 raise StorageError(f"cyclic relationship chain at node {node_id}")
             rel = self.relationships.read(rel_id)
-            yield NeighborEntry(
-                neighbor=rel.other_endpoint(node_id),
-                rel_id=rel_id,
-                ghost=rel.ghost,
-            )
+            yield rel
             rel_id = rel.next_for(node_id)
 
     def neighbors(self, node_id: int) -> List[int]:
@@ -492,27 +555,25 @@ class GraphStore:
     # ==================================================================
     def export_node(self, node_id: int) -> Dict[str, Any]:
         """Everything the copy step must ship for one node."""
-        record = self.nodes.read(node_id)
-        relationships = []
-        for entry in self.neighbor_entries(node_id):
-            rel = self.relationships.read(entry.rel_id)
-            relationships.append(
-                {
-                    "rel_id": rel.rel_id,
-                    "src": rel.src,
-                    "dst": rel.dst,
-                    "ghost": rel.ghost,
-                    "properties": (
-                        {} if rel.ghost else self.relationship_properties(rel.rel_id)
-                    ),
-                }
-            )
+        record = self._require_available(node_id)
+        relationships = [
+            {
+                "rel_id": rel.rel_id,
+                "src": rel.src,
+                "dst": rel.dst,
+                "ghost": rel.ghost,
+                "properties": (
+                    {} if rel.ghost else self._collect_properties(rel.first_prop)
+                ),
+            }
+            for rel in self._chain(node_id, record.first_rel)
+        ]
         return {
             "node": {
                 "node_id": node_id,
                 "weight": record.weight,
             },
-            "properties": self.node_properties(node_id),
+            "properties": self._collect_properties(record.first_prop),
             "relationships": relationships,
         }
 

@@ -10,14 +10,17 @@ is treated by queries as if it were not part of the local vertex set.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.storage.pages import PagedFile
-from repro.storage.records import NULL_REF, FixedRecordStore, RecordCodec
+from repro.storage.records import (
+    FLAG_IN_USE,
+    NULL_REF,
+    FixedRecordStore,
+    RecordCodec,
+)
 
-_FLAG_IN_USE = 0x1
 _FLAG_AVAILABLE = 0x2
 
 
@@ -32,27 +35,34 @@ class NodeRecord:
     available: bool = True
 
     def with_first_rel(self, rel_id: int) -> "NodeRecord":
-        return replace(self, first_rel=rel_id)
+        return NodeRecord(
+            self.node_id, rel_id, self.first_prop, self.weight, self.available
+        )
 
     def with_first_prop(self, prop_id: int) -> "NodeRecord":
-        return replace(self, first_prop=prop_id)
+        return NodeRecord(
+            self.node_id, self.first_rel, prop_id, self.weight, self.available
+        )
 
     def with_weight(self, weight: float) -> "NodeRecord":
-        return replace(self, weight=weight)
+        return NodeRecord(
+            self.node_id, self.first_rel, self.first_prop, weight, self.available
+        )
 
     def with_available(self, available: bool) -> "NodeRecord":
-        return replace(self, available=available)
+        return NodeRecord(
+            self.node_id, self.first_rel, self.first_prop, self.weight, available
+        )
 
 
 class NodeCodec(RecordCodec):
     FORMAT = "<Bqqqd"
 
     def pack(self, record: NodeRecord) -> bytes:
-        flags = _FLAG_IN_USE
+        flags = FLAG_IN_USE
         if record.available:
             flags |= _FLAG_AVAILABLE
-        return struct.pack(
-            self.FORMAT,
+        return self.STRUCT.pack(
             flags,
             record.node_id,
             record.first_rel,
@@ -61,20 +71,10 @@ class NodeCodec(RecordCodec):
         )
 
     def unpack(self, payload: bytes) -> NodeRecord:
-        flags, node_id, first_rel, first_prop, weight = struct.unpack(
-            self.FORMAT, payload
-        )
+        flags, node_id, first_rel, first_prop, weight = self.STRUCT.unpack(payload)
         return NodeRecord(
-            node_id=node_id,
-            first_rel=first_rel,
-            first_prop=first_prop,
-            weight=weight,
-            available=bool(flags & _FLAG_AVAILABLE),
+            node_id, first_rel, first_prop, weight, bool(flags & _FLAG_AVAILABLE)
         )
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, node_id = struct.unpack_from("<Bq", payload)
-        return bool(flags & _FLAG_IN_USE), node_id
 
 
 class NodeStore:

@@ -8,15 +8,18 @@ dynamic store (key, value) and links to the owner's next property record.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
-from typing import Any, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional
 
 from repro.storage.pages import PagedFile
-from repro.storage.records import NULL_REF, DynamicStore, FixedRecordStore, RecordCodec
+from repro.storage.records import (
+    FLAG_IN_USE,
+    NULL_REF,
+    DynamicStore,
+    FixedRecordStore,
+    RecordCodec,
+)
 from repro.storage.values import decode_value, encode_value
-
-_FLAG_IN_USE = 0x1
 
 
 @dataclass(frozen=True)
@@ -30,19 +33,22 @@ class PropertyRecord:
     value_blob: int = NULL_REF
 
     def with_next_prop(self, prop_id: int) -> "PropertyRecord":
-        return replace(self, next_prop=prop_id)
+        return PropertyRecord(
+            self.prop_id, self.owner_id, prop_id, self.key_blob, self.value_blob
+        )
 
     def with_value_blob(self, blob: int) -> "PropertyRecord":
-        return replace(self, value_blob=blob)
+        return PropertyRecord(
+            self.prop_id, self.owner_id, self.next_prop, self.key_blob, blob
+        )
 
 
 class PropertyCodec(RecordCodec):
     FORMAT = "<B5q"
 
     def pack(self, record: PropertyRecord) -> bytes:
-        return struct.pack(
-            self.FORMAT,
-            _FLAG_IN_USE,
+        return self.STRUCT.pack(
+            FLAG_IN_USE,
             record.prop_id,
             record.owner_id,
             record.next_prop,
@@ -51,20 +57,8 @@ class PropertyCodec(RecordCodec):
         )
 
     def unpack(self, payload: bytes) -> PropertyRecord:
-        _, prop_id, owner_id, next_prop, key_blob, value_blob = struct.unpack(
-            self.FORMAT, payload
-        )
-        return PropertyRecord(
-            prop_id=prop_id,
-            owner_id=owner_id,
-            next_prop=next_prop,
-            key_blob=key_blob,
-            value_blob=value_blob,
-        )
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, prop_id = struct.unpack_from("<Bq", payload)
-        return bool(flags & _FLAG_IN_USE), prop_id
+        _, *fields = self.STRUCT.unpack(payload)
+        return PropertyRecord(*fields)
 
 
 class PropertyStore:

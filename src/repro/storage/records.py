@@ -29,16 +29,31 @@ from repro.storage.pages import PagedFile
 #: Null pointer in record link fields (chains end here).
 NULL_REF = -1
 
+#: Bit 0 of the flags byte that opens every fixed-slot layout.  A freed
+#: slot is all zero bytes, so its flag reads clear.
+FLAG_IN_USE = 0x1
+
+#: ``(flags, record_id)`` — the prefix every fixed-slot layout starts with.
+_HEADER = struct.Struct("<Bq")
+
 
 class RecordCodec(abc.ABC):
-    """Packs one record type to/from its fixed-size byte layout."""
+    """Packs one record type to/from its fixed-size byte layout.
+
+    A subclass sets ``FORMAT``; the class gets one precompiled
+    :class:`struct.Struct` (``STRUCT``) and its ``record_size`` when it is
+    defined, so no record read or write re-parses the format string.
+    """
 
     #: struct format of the record (little-endian, no padding)
     FORMAT: str = ""
+    STRUCT: struct.Struct = struct.Struct("")
+    record_size: int = 0
 
-    @property
-    def record_size(self) -> int:
-        return struct.calcsize(self.FORMAT)
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.STRUCT = struct.Struct(cls.FORMAT)
+        cls.record_size = cls.STRUCT.size
 
     @abc.abstractmethod
     def pack(self, record: Any) -> bytes:
@@ -48,9 +63,10 @@ class RecordCodec(abc.ABC):
     def unpack(self, payload: bytes) -> Any:
         """Bytes -> record object."""
 
-    @abc.abstractmethod
     def header(self, payload: bytes) -> Tuple[bool, int]:
         """Cheap peek: ``(in_use, record_id)`` — used to rebuild indexes."""
+        flags, record_id = _HEADER.unpack_from(payload)
+        return bool(flags & FLAG_IN_USE), record_id
 
 
 class FixedRecordStore:
@@ -64,12 +80,13 @@ class FixedRecordStore:
     ):
         self.codec = codec
         self.pages = paged_file or PagedFile()
-        if self.codec.record_size > self.pages.page_size:
+        self.record_size = codec.record_size
+        if self.record_size > self.pages.page_size:
             raise PageError(
-                f"record size {self.codec.record_size} exceeds page size "
+                f"record size {self.record_size} exceeds page size "
                 f"{self.pages.page_size}"
             )
-        self.slots_per_page = self.pages.page_size // self.codec.record_size
+        self.slots_per_page = self.pages.page_size // self.record_size
         self._index = BPlusTree(order=btree_order)
         self._free_slots: List[int] = []
         self._next_slot = self.pages.num_pages * self.slots_per_page
@@ -79,7 +96,7 @@ class FixedRecordStore:
     # ------------------------------------------------------------------
     def _slot_location(self, slot: int) -> Tuple[int, int]:
         page, slot_in_page = divmod(slot, self.slots_per_page)
-        return page, slot_in_page * self.codec.record_size
+        return page, slot_in_page * self.record_size
 
     def _allocate_slot(self) -> int:
         if self._free_slots:
@@ -106,9 +123,8 @@ class FixedRecordStore:
         if slot is None:
             raise RecordNotFoundError(f"record {record_id} not found")
         page, offset = self._slot_location(slot)
-        payload = self.pages.read(page, offset, self.codec.record_size)
-        in_use, _ = self.codec.header(payload)
-        if not in_use:
+        payload = self.pages.read(page, offset, self.record_size)
+        if not payload[0] & FLAG_IN_USE:
             raise RecordDeletedError(f"record {record_id} is deleted")
         return self.codec.unpack(payload)
 
@@ -118,7 +134,7 @@ class FixedRecordStore:
         if slot is None:
             raise RecordNotFoundError(f"record {record_id} not found")
         page, offset = self._slot_location(slot)
-        self.pages.write(page, offset, bytes(self.codec.record_size))
+        self.pages.write(page, offset, bytes(self.record_size))
         self._index.delete(record_id)
         self._free_slots.append(slot)
 
@@ -147,7 +163,7 @@ class FixedRecordStore:
         self._next_slot = total_slots
         for slot in range(total_slots):
             page, offset = self._slot_location(slot)
-            payload = self.pages.read(page, offset, self.codec.record_size)
+            payload = self.pages.read(page, offset, self.record_size)
             in_use, record_id = self.codec.header(payload)
             if in_use:
                 if record_id in self._index:
@@ -172,7 +188,6 @@ class FixedRecordStore:
 _CHUNK_HEADER = struct.Struct("<BqqH")  # flags, chunk_id, next_chunk, length
 _CHUNK_SIZE = 64
 _CHUNK_PAYLOAD = _CHUNK_SIZE - _CHUNK_HEADER.size
-_FLAG_IN_USE = 0x1
 
 
 class _ChunkCodec(RecordCodec):
@@ -182,9 +197,8 @@ class _ChunkCodec(RecordCodec):
         in_use, chunk_id, next_chunk, payload = record
         if len(payload) > _CHUNK_PAYLOAD:
             raise StorageError("chunk payload too large")
-        flags = _FLAG_IN_USE if in_use else 0
-        return struct.pack(
-            self.FORMAT,
+        flags = FLAG_IN_USE if in_use else 0
+        return self.STRUCT.pack(
             flags,
             chunk_id,
             next_chunk,
@@ -193,14 +207,8 @@ class _ChunkCodec(RecordCodec):
         )
 
     def unpack(self, payload: bytes) -> Tuple[bool, int, int, bytes]:
-        flags, chunk_id, next_chunk, length, data = struct.unpack(
-            self.FORMAT, payload
-        )
-        return bool(flags & _FLAG_IN_USE), chunk_id, next_chunk, data[:length]
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, chunk_id, _, _ = _CHUNK_HEADER.unpack_from(payload)
-        return bool(flags & _FLAG_IN_USE), chunk_id
+        flags, chunk_id, next_chunk, length, data = self.STRUCT.unpack(payload)
+        return bool(flags & FLAG_IN_USE), chunk_id, next_chunk, data[:length]
 
 
 class DynamicStore:

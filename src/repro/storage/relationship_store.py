@@ -15,15 +15,18 @@ chain.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.exceptions import StorageError
 from repro.storage.pages import PagedFile
-from repro.storage.records import NULL_REF, FixedRecordStore, RecordCodec
+from repro.storage.records import (
+    FLAG_IN_USE,
+    NULL_REF,
+    FixedRecordStore,
+    RecordCodec,
+)
 
-_FLAG_IN_USE = 0x1
 _FLAG_GHOST = 0x2
 
 
@@ -41,14 +44,17 @@ class RelationshipRecord:
     first_prop: int = NULL_REF
     ghost: bool = False
 
+    def _not_an_endpoint(self, node_id: int) -> StorageError:
+        return StorageError(
+            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
+        )
+
     def other_endpoint(self, node_id: int) -> int:
         if node_id == self.src:
             return self.dst
         if node_id == self.dst:
             return self.src
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        raise self._not_an_endpoint(node_id)
 
     def next_for(self, node_id: int) -> int:
         """Next relationship in ``node_id``'s chain."""
@@ -56,53 +62,58 @@ class RelationshipRecord:
             return self.src_next
         if node_id == self.dst:
             return self.dst_next
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        raise self._not_an_endpoint(node_id)
 
     def prev_for(self, node_id: int) -> int:
         if node_id == self.src:
             return self.src_prev
         if node_id == self.dst:
             return self.dst_prev
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        raise self._not_an_endpoint(node_id)
+
+    def with_links_for(
+        self, node_id: int, prev_id: int, next_id: int
+    ) -> "RelationshipRecord":
+        """Both of ``node_id``'s chain pointers replaced at once."""
+        if node_id == self.src:
+            return RelationshipRecord(
+                self.rel_id, self.src, self.dst, prev_id, next_id,
+                self.dst_prev, self.dst_next, self.first_prop, self.ghost,
+            )
+        if node_id == self.dst:
+            return RelationshipRecord(
+                self.rel_id, self.src, self.dst, self.src_prev, self.src_next,
+                prev_id, next_id, self.first_prop, self.ghost,
+            )
+        raise self._not_an_endpoint(node_id)
 
     def with_next_for(self, node_id: int, rel_id: int) -> "RelationshipRecord":
-        if node_id == self.src:
-            return replace(self, src_next=rel_id)
-        if node_id == self.dst:
-            return replace(self, dst_next=rel_id)
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        return self.with_links_for(node_id, self.prev_for(node_id), rel_id)
 
     def with_prev_for(self, node_id: int, rel_id: int) -> "RelationshipRecord":
-        if node_id == self.src:
-            return replace(self, src_prev=rel_id)
-        if node_id == self.dst:
-            return replace(self, dst_prev=rel_id)
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        return self.with_links_for(node_id, rel_id, self.next_for(node_id))
 
     def with_first_prop(self, prop_id: int) -> "RelationshipRecord":
-        return replace(self, first_prop=prop_id)
+        return RelationshipRecord(
+            self.rel_id, self.src, self.dst, self.src_prev, self.src_next,
+            self.dst_prev, self.dst_next, prop_id, self.ghost,
+        )
 
     def with_ghost(self, ghost: bool) -> "RelationshipRecord":
-        return replace(self, ghost=ghost)
+        return RelationshipRecord(
+            self.rel_id, self.src, self.dst, self.src_prev, self.src_next,
+            self.dst_prev, self.dst_next, self.first_prop, ghost,
+        )
 
 
 class RelationshipCodec(RecordCodec):
     FORMAT = "<B8q"
 
     def pack(self, record: RelationshipRecord) -> bytes:
-        flags = _FLAG_IN_USE
+        flags = FLAG_IN_USE
         if record.ghost:
             flags |= _FLAG_GHOST
-        return struct.pack(
-            self.FORMAT,
+        return self.STRUCT.pack(
             flags,
             record.rel_id,
             record.src,
@@ -115,32 +126,8 @@ class RelationshipCodec(RecordCodec):
         )
 
     def unpack(self, payload: bytes) -> RelationshipRecord:
-        (
-            flags,
-            rel_id,
-            src,
-            dst,
-            src_prev,
-            src_next,
-            dst_prev,
-            dst_next,
-            first_prop,
-        ) = struct.unpack(self.FORMAT, payload)
-        return RelationshipRecord(
-            rel_id=rel_id,
-            src=src,
-            dst=dst,
-            src_prev=src_prev,
-            src_next=src_next,
-            dst_prev=dst_prev,
-            dst_next=dst_next,
-            first_prop=first_prop,
-            ghost=bool(flags & _FLAG_GHOST),
-        )
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, rel_id = struct.unpack_from("<Bq", payload)
-        return bool(flags & _FLAG_IN_USE), rel_id
+        flags, *fields = self.STRUCT.unpack(payload)
+        return RelationshipRecord(*fields, bool(flags & _FLAG_GHOST))
 
 
 class RelationshipStore:

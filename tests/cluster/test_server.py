@@ -1,9 +1,20 @@
 """Tests for the per-server request handling."""
 
+import json
+import os
+
 import pytest
 
 from repro.cluster.server import HermesServer
 from repro.exceptions import ClusterError, LockTimeoutError
+from repro.txn.manager import Transaction
+
+
+def saved_files(store, directory):
+    store.save(str(directory))
+    return {
+        name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))
+    }
 
 
 @pytest.fixture
@@ -73,6 +84,39 @@ class TestWrites:
             server.create_vertex(50)
         blocker.commit()
         assert not server.store.has_node(50)
+
+    def test_write_undo_restores_exact_store(self, server, tmp_path, monkeypatch):
+        """A write that fails after registering its undo aborts through
+        ``delete_node`` (the single-walk retire); the saved store must be
+        byte-identical to the pre-write one."""
+        server.create_local_edge(server.store.allocate_rel_id(), 0, 1, {"w": 1})
+        server.create_local_edge(server.store.allocate_rel_id(), 1, 2)
+        server.create_ghost_edge(1001, 2, 999)
+        server.set_property(3, "name", "c")
+        before = saved_files(server.store, tmp_path / "before")
+
+        class WriteFailed(Exception):
+            pass
+
+        record_undo = Transaction.record_undo
+
+        def record_then_fail(txn, undo):
+            record_undo(txn, undo)
+            raise WriteFailed
+
+        monkeypatch.setattr(Transaction, "record_undo", record_then_fail)
+        with pytest.raises(WriteFailed):
+            server.create_vertex(10, weight=3.0, properties={"a": 1})
+        monkeypatch.undo()
+        assert server.txns.stats["aborted"] == 1
+        assert not server.store.has_node(10)
+        after = saved_files(server.store, tmp_path / "after")
+        # Ids are never reused, so only the property-id counter moved on.
+        meta_before = json.loads(before.pop("meta.json"))
+        meta_after = json.loads(after.pop("meta.json"))
+        assert meta_after.pop("prop_counter") == meta_before.pop("prop_counter") + 1
+        assert meta_after == meta_before
+        assert after == before
 
     def test_repr(self, server):
         assert "HermesServer" in repr(server)

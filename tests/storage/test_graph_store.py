@@ -97,6 +97,67 @@ class TestRelationshipChains:
         assert store.allocate_rel_id() > 1000
 
 
+class TestChainContains:
+    """O(1) chain membership, for every position a record can hold."""
+
+    def link_three(self, store):
+        """0's chain after three head inserts: rels[2], rels[1], rels[0]."""
+        rels = [
+            store.create_relationship(store.allocate_rel_id(), 0, other).rel_id
+            for other in (1, 2, 3)
+        ]
+        assert store.node(0).first_rel == rels[2]
+        return rels
+
+    def test_sole_record(self, store):
+        rel = store.create_relationship(store.allocate_rel_id(), 0, 1)
+        assert store.chain_contains(0, rel.rel_id)
+        assert store.chain_contains(1, rel.rel_id)
+
+    def test_head_middle_and_tail(self, store):
+        tail, middle, head = self.link_three(store)
+        for rel_id in (head, middle, tail):
+            assert store.chain_contains(0, rel_id)
+
+    def test_detached_side(self, store):
+        tail, middle, head = self.link_three(store)
+        store.detach_endpoint(middle, 0)
+        assert not store.chain_contains(0, middle)
+        assert store.chain_contains(2, middle)
+        assert store.chain_contains(0, head)
+        assert store.chain_contains(0, tail)
+        store.detach_endpoint(head, 0)
+        assert not store.chain_contains(0, head)
+        assert store.chain_contains(0, tail)
+        store.attach_endpoint(middle, 0)
+        assert store.chain_contains(0, middle)
+
+    def test_both_endpoints_local(self, store):
+        store.create_relationship(store.allocate_rel_id(), 1, 2)
+        shared = store.create_relationship(store.allocate_rel_id(), 0, 1).rel_id
+        store.create_relationship(store.allocate_rel_id(), 0, 3)
+        # ``shared`` heads 1's chain and is the tail of 0's.
+        assert store.node(1).first_rel == shared
+        assert store.node(0).first_rel != shared
+        assert store.chain_contains(0, shared)
+        assert store.chain_contains(1, shared)
+
+    def test_remote_endpoint_record(self, store):
+        rel = store.create_relationship(store.allocate_rel_id(), 0, 500, ghost=True)
+        assert store.chain_contains(0, rel.rel_id)
+
+    def test_absent_record(self, store):
+        self.link_three(store)
+        assert not store.chain_contains(0, 10**6)
+        assert not store.chain_contains(4, 10**6)
+        assert not store.chain_contains(4, NULL_REF)
+
+    def test_non_endpoint(self, store):
+        tail, middle, head = self.link_three(store)
+        assert not store.chain_contains(1, middle)
+        assert not store.chain_contains(4, head)
+
+
 class TestGhosts:
     def test_ghost_has_no_properties(self, store):
         with pytest.raises(StorageError):

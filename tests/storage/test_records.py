@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import (
+    RecordDeletedError,
     RecordNotFoundError,
     StorageError,
 )
@@ -86,6 +87,15 @@ class TestFixedRecordStore:
         pages_before = store.pages.num_pages
         store.write(100, self.record(100))
         assert store.pages.num_pages == pages_before
+
+    def test_read_tombstoned_slot_raises_deleted(self):
+        """The in-use flag is read from the decoded bytes: a slot the index
+        still maps but whose bytes are a tombstone is a deleted record."""
+        store = self.make_store()
+        store.write(7, self.record(7))  # the first record takes slot 0
+        store.pages.write(0, 0, bytes(store.record_size))
+        with pytest.raises(RecordDeletedError):
+            store.read(7)
 
     def test_ids_sorted(self):
         store = self.make_store()

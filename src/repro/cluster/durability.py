@@ -27,7 +27,7 @@ Record key scheme inside the journal's record store::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from repro.exceptions import RecordNotFoundError
 from repro.storage.durable import DurableRecordStore
@@ -49,9 +49,6 @@ class _ImageCodec(RecordCodec):
 
     def unpack(self, payload: bytes) -> Any:
         return json.loads(payload.decode("utf-8"))
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        return True, -1  # only consulted by page-slot scans; never here
 
 
 class _DictStore:

@@ -154,6 +154,9 @@ class HermesServer:
         Visit accounting is done by the traversal engine (it counts every
         *processed* vertex, including final-hop vertices that are never
         expanded), so this method does not touch ``visits``.
+
+        The availability gate is a flags-byte peek, so the node record is
+        decoded once, by ``neighbor_entries``.
         """
         self._check_up()
         if not self.store.is_available(node_id):

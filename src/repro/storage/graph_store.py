@@ -24,7 +24,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.exceptions import StorageError, VertexUnavailableError
 from repro.storage.ids import IdAllocator
@@ -34,8 +44,7 @@ from repro.storage.records import NULL_REF
 from repro.storage.relationship_store import RelationshipRecord, RelationshipStore
 
 
-@dataclass(frozen=True)
-class NeighborEntry:
+class NeighborEntry(NamedTuple):
     """One hop out of a local node's adjacency chain."""
 
     neighbor: int
@@ -119,10 +128,9 @@ class GraphStore:
 
     def is_available(self, node_id: int) -> bool:
         """False for missing nodes and for nodes in the migration
-        *unavailable* state — queries treat both identically."""
-        if node_id not in self.nodes:
-            return False
-        return self.nodes.read(node_id).available
+        *unavailable* state — queries treat both identically.  One index
+        lookup and a flags-byte peek; the record is not decoded."""
+        return self.nodes.is_available(node_id)
 
     def set_available(self, node_id: int, available: bool) -> None:
         self.nodes.write(self.nodes.read(node_id).with_available(available))
@@ -164,7 +172,7 @@ class GraphStore:
         available = set()
         unavailable = set()
         for node_id in self.nodes.ids():
-            if self.nodes.read(node_id).available:
+            if self.nodes.is_available(node_id):
                 available.add(node_id)
             else:
                 unavailable.add(node_id)

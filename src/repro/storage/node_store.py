@@ -10,8 +10,7 @@ is treated by queries as if it were not part of the local vertex set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 from repro.storage.pages import PagedFile
 from repro.storage.records import (
@@ -24,9 +23,8 @@ from repro.storage.records import (
 _FLAG_AVAILABLE = 0x2
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """One fixed-size node record."""
+class NodeRecord(NamedTuple):
+    """One fixed-size node record (immutable; ``with_*`` returns a copy)."""
 
     node_id: int
     first_rel: int = NULL_REF
@@ -70,8 +68,8 @@ class NodeCodec(RecordCodec):
             record.weight,
         )
 
-    def unpack(self, payload: bytes) -> NodeRecord:
-        flags, node_id, first_rel, first_prop, weight = self.STRUCT.unpack(payload)
+    def decode(self, fields: Tuple[Any, ...]) -> NodeRecord:
+        flags, node_id, first_rel, first_prop, weight = fields
         return NodeRecord(
             node_id, first_rel, first_prop, weight, bool(flags & _FLAG_AVAILABLE)
         )
@@ -88,6 +86,12 @@ class NodeStore:
 
     def read(self, node_id: int) -> NodeRecord:
         return self._store.read(node_id)
+
+    def is_available(self, node_id: int) -> bool:
+        """From the flags byte alone: False for a missing node and for one
+        in the migration *unavailable* state."""
+        flags = self._store.flags(node_id)
+        return flags is not None and bool(flags & _FLAG_AVAILABLE)
 
     def delete(self, node_id: int) -> None:
         self._store.delete(node_id)

@@ -49,15 +49,24 @@ class PagedFile:
             raise PageError(f"page {index} out of range [0, {len(self._pages)})")
         return self._pages[index]
 
-    def read(self, page: int, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes at ``offset`` within one page."""
-        data = self._page(page)
-        if offset < 0 or offset + length > self.page_size:
+    def unpack(self, layout: struct.Struct, page: int, offset: int) -> tuple:
+        """Decode ``layout`` in place at ``offset`` within one page.
+
+        Checks the page range and the slot bound, then runs
+        ``layout.unpack_from`` straight off the page buffer, so no
+        intermediate ``bytes`` is built.  The page-range check is
+        :meth:`_page`'s, inlined: this runs once per record read.
+        """
+        pages = self._pages
+        if not 0 <= page < len(pages):
+            raise PageError(f"page {page} out of range [0, {len(pages)})")
+        data = pages[page]
+        if offset < 0 or offset + layout.size > self.page_size:
             raise PageError(
-                f"read [{offset}, {offset + length}) exceeds page size "
+                f"read [{offset}, {offset + layout.size}) exceeds page size "
                 f"{self.page_size}"
             )
-        return bytes(data[offset : offset + length])
+        return layout.unpack_from(data, offset)
 
     def write(self, page: int, offset: int, payload: bytes) -> None:
         """Write ``payload`` at ``offset`` within one page."""

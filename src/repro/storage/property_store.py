@@ -8,8 +8,7 @@ dynamic store (key, value) and links to the owner's next property record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 from repro.storage.pages import PagedFile
 from repro.storage.records import (
@@ -22,9 +21,8 @@ from repro.storage.records import (
 from repro.storage.values import decode_value, encode_value
 
 
-@dataclass(frozen=True)
-class PropertyRecord:
-    """One fixed-size property index record."""
+class PropertyRecord(NamedTuple):
+    """One fixed-size property index record (immutable)."""
 
     prop_id: int
     owner_id: int
@@ -56,9 +54,9 @@ class PropertyCodec(RecordCodec):
             record.value_blob,
         )
 
-    def unpack(self, payload: bytes) -> PropertyRecord:
-        _, *fields = self.STRUCT.unpack(payload)
-        return PropertyRecord(*fields)
+    def decode(self, fields: Tuple[Any, ...]) -> PropertyRecord:
+        _, prop_id, owner_id, next_prop, key_blob, value_blob = fields
+        return PropertyRecord(prop_id, owner_id, next_prop, key_blob, value_blob)
 
 
 class PropertyStore:

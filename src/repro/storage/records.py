@@ -35,6 +35,8 @@ FLAG_IN_USE = 0x1
 
 #: ``(flags, record_id)`` — the prefix every fixed-slot layout starts with.
 _HEADER = struct.Struct("<Bq")
+#: the flags byte alone, peeked by :meth:`FixedRecordStore.flags`
+_FLAGS = struct.Struct("<B")
 
 
 class RecordCodec(abc.ABC):
@@ -43,6 +45,8 @@ class RecordCodec(abc.ABC):
     A subclass sets ``FORMAT``; the class gets one precompiled
     :class:`struct.Struct` (``STRUCT``) and its ``record_size`` when it is
     defined, so no record read or write re-parses the format string.
+    A fixed-slot codec implements :meth:`decode` over the unpacked field
+    tuple, which :class:`FixedRecordStore` reads in place off the page.
     """
 
     #: struct format of the record (little-endian, no padding)
@@ -59,14 +63,13 @@ class RecordCodec(abc.ABC):
     def pack(self, record: Any) -> bytes:
         """Record object -> exactly ``record_size`` bytes."""
 
-    @abc.abstractmethod
+    def decode(self, fields: Tuple[Any, ...]) -> Any:
+        """``STRUCT``'s unpacked field tuple (flags first) -> record object."""
+        raise NotImplementedError(f"{type(self).__name__} has no fixed layout")
+
     def unpack(self, payload: bytes) -> Any:
         """Bytes -> record object."""
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        """Cheap peek: ``(in_use, record_id)`` — used to rebuild indexes."""
-        flags, record_id = _HEADER.unpack_from(payload)
-        return bool(flags & FLAG_IN_USE), record_id
+        return self.decode(self.STRUCT.unpack(payload))
 
 
 class FixedRecordStore:
@@ -119,14 +122,34 @@ class FixedRecordStore:
         self.pages.write(page, offset, payload)
 
     def read(self, record_id: int) -> Any:
+        """Decode the record in place; a tombstoned slot raises
+        :class:`RecordDeletedError`."""
         slot = self._index.get(record_id)
         if slot is None:
             raise RecordNotFoundError(f"record {record_id} not found")
-        page, offset = self._slot_location(slot)
-        payload = self.pages.read(page, offset, self.record_size)
-        if not payload[0] & FLAG_IN_USE:
+        page, slot_in_page = divmod(slot, self.slots_per_page)
+        fields = self.pages.unpack(
+            self.codec.STRUCT, page, slot_in_page * self.record_size
+        )
+        if not fields[0] & FLAG_IN_USE:
             raise RecordDeletedError(f"record {record_id} is deleted")
-        return self.codec.unpack(payload)
+        return self.codec.decode(fields)
+
+    def flags(self, record_id: int) -> Optional[int]:
+        """The record's flags byte, read in place without decoding it.
+
+        ``None`` when ``record_id`` is not indexed; an indexed slot whose
+        in-use bit is clear raises :class:`RecordDeletedError`, as
+        :meth:`read` does.
+        """
+        slot = self._index.get(record_id)
+        if slot is None:
+            return None
+        page, slot_in_page = divmod(slot, self.slots_per_page)
+        (flags,) = self.pages.unpack(_FLAGS, page, slot_in_page * self.record_size)
+        if not flags & FLAG_IN_USE:
+            raise RecordDeletedError(f"record {record_id} is deleted")
+        return flags
 
     def delete(self, record_id: int) -> None:
         """Tombstone the record and recycle its slot."""
@@ -163,9 +186,8 @@ class FixedRecordStore:
         self._next_slot = total_slots
         for slot in range(total_slots):
             page, offset = self._slot_location(slot)
-            payload = self.pages.read(page, offset, self.record_size)
-            in_use, record_id = self.codec.header(payload)
-            if in_use:
+            flags, record_id = self.pages.unpack(_HEADER, page, offset)
+            if flags & FLAG_IN_USE:
                 if record_id in self._index:
                     raise StorageError(
                         f"duplicate record id {record_id} found during scan"
@@ -206,8 +228,8 @@ class _ChunkCodec(RecordCodec):
             payload.ljust(_CHUNK_PAYLOAD, b"\0"),
         )
 
-    def unpack(self, payload: bytes) -> Tuple[bool, int, int, bytes]:
-        flags, chunk_id, next_chunk, length, data = self.STRUCT.unpack(payload)
+    def decode(self, fields: Tuple[Any, ...]) -> Tuple[bool, int, int, bytes]:
+        flags, chunk_id, next_chunk, length, data = fields
         return bool(flags & FLAG_IN_USE), chunk_id, next_chunk, data[:length]
 
 
@@ -233,9 +255,9 @@ class DynamicStore:
             self._store.write(chunk_id, (True, chunk_id, next_chunk, payload))
         return head
 
-    def fetch(self, head: int) -> bytes:
-        """Read the blob whose chain starts at ``head``."""
-        parts: List[bytes] = []
+    def _chunks(self, head: int) -> Iterator[Tuple[int, bytes]]:
+        """``(chunk_id, payload)`` along the chain at ``head``; a cyclic
+        chain raises :class:`StorageError`."""
         chunk_id = head
         seen = set()
         while chunk_id != NULL_REF:
@@ -243,17 +265,21 @@ class DynamicStore:
                 raise StorageError(f"cyclic chunk chain at {chunk_id}")
             seen.add(chunk_id)
             _, _, next_chunk, payload = self._store.read(chunk_id)
-            parts.append(payload)
+            yield chunk_id, payload
             chunk_id = next_chunk
-        return b"".join(parts)
+
+    def fetch(self, head: int) -> bytes:
+        """Read the blob whose chain starts at ``head``."""
+        return b"".join(payload for _, payload in self._chunks(head))
 
     def free(self, head: int) -> None:
-        """Delete the whole chain starting at ``head``."""
-        chunk_id = head
-        while chunk_id != NULL_REF:
-            _, _, next_chunk, _ = self._store.read(chunk_id)
+        """Delete the whole chain starting at ``head``.
+
+        The chain is walked in full first, so a cyclic or broken chain
+        raises before any chunk is deleted.
+        """
+        for chunk_id in [chunk_id for chunk_id, _ in self._chunks(head)]:
             self._store.delete(chunk_id)
-            chunk_id = next_chunk
 
     @property
     def num_chunks(self) -> int:

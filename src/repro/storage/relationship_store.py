@@ -15,8 +15,7 @@ chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage.pages import PagedFile
@@ -30,9 +29,9 @@ from repro.storage.records import (
 _FLAG_GHOST = 0x2
 
 
-@dataclass(frozen=True)
-class RelationshipRecord:
-    """One fixed-size relationship record."""
+class RelationshipRecord(NamedTuple):
+    """One fixed-size relationship record (immutable; ``with_*`` returns a
+    copy)."""
 
     rel_id: int
     src: int
@@ -125,9 +124,12 @@ class RelationshipCodec(RecordCodec):
             record.first_prop,
         )
 
-    def unpack(self, payload: bytes) -> RelationshipRecord:
-        flags, *fields = self.STRUCT.unpack(payload)
-        return RelationshipRecord(*fields, bool(flags & _FLAG_GHOST))
+    def decode(self, fields: Tuple[Any, ...]) -> RelationshipRecord:
+        flags, rel_id, src, dst, src_prev, src_next, dst_prev, dst_next, prop = fields
+        return RelationshipRecord(
+            rel_id, src, dst, src_prev, src_next, dst_prev, dst_next, prop,
+            bool(flags & _FLAG_GHOST),
+        )
 
 
 class RelationshipStore:

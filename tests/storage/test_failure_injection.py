@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.exceptions import (
+    RecordNotFoundError,
     StorageError,
     StoreCorruptionError,
 )
@@ -109,6 +110,26 @@ class TestChainCycleGuard:
         dynamic._store.write(head, (in_use, chunk_id, head, payload))
         with pytest.raises(StorageError, match="cyclic"):
             dynamic.fetch(head)
+
+    def test_free_on_cyclic_chain_deletes_nothing(self):
+        """``free`` walks the whole chain before deleting: a cycle raises
+        the same StorageError as ``fetch`` and every chunk survives."""
+        from repro.storage.records import NULL_REF, DynamicStore
+
+        dynamic = DynamicStore()
+        head = dynamic.store(b"y" * 200)
+        chunk_ids = sorted(dynamic._store.ids())
+        assert len(chunk_ids) == 5
+        last = chunk_ids[-1]
+        in_use, chunk_id, next_chunk, payload = dynamic._store.read(last)
+        assert next_chunk == NULL_REF
+        dynamic._store.write(last, (in_use, chunk_id, head, payload))
+        before = {cid: dynamic._store.read(cid) for cid in chunk_ids}
+        with pytest.raises(StorageError, match="cyclic chunk chain") as info:
+            dynamic.free(head)
+        assert not isinstance(info.value, RecordNotFoundError)
+        assert dynamic.num_chunks == 5
+        assert {cid: dynamic._store.read(cid) for cid in chunk_ids} == before
 
 
 class TestErrorsDoNotCorruptState:

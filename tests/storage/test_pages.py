@@ -1,9 +1,15 @@
 """Tests for the paged file, including corruption detection."""
 
+import struct
+
 import pytest
 
 from repro.exceptions import PageError, StoreCorruptionError
 from repro.storage.pages import PagedFile
+
+
+#: a ``(flags, id)`` record prefix, 9 bytes
+HEADER = struct.Struct("<Bq")
 
 
 class TestInMemory:
@@ -12,8 +18,10 @@ class TestInMemory:
         page = paged.allocate_page()
         assert page == 0
         paged.write(page, 10, b"hello")
-        assert paged.read(page, 10, 5) == b"hello"
-        assert paged.read(page, 0, 10) == bytes(10)
+        assert paged.unpack(struct.Struct("5s"), page, 10) == (b"hello",)
+        assert paged.unpack(struct.Struct("10s"), page, 0) == (bytes(10),)
+        paged.write(page, 40, HEADER.pack(1, 77))
+        assert paged.unpack(HEADER, page, 40) == (1, 77)
 
     def test_page_size_validation(self):
         with pytest.raises(PageError):
@@ -21,21 +29,29 @@ class TestInMemory:
 
     def test_out_of_range_page(self):
         paged = PagedFile(page_size=128)
-        with pytest.raises(PageError):
-            paged.read(0, 0, 1)
+        with pytest.raises(PageError, match="out of range"):
+            paged.unpack(HEADER, 0, 0)
         paged.allocate_page()
         with pytest.raises(PageError):
             paged.write(1, 0, b"x")
+        for page in (-1, 1, 5):
+            with pytest.raises(PageError, match="out of range"):
+                paged.unpack(HEADER, page, 0)
 
     def test_out_of_bounds_access(self):
         paged = PagedFile(page_size=128)
         page = paged.allocate_page()
-        with pytest.raises(PageError):
-            paged.read(page, 120, 16)
+        with pytest.raises(PageError, match="exceeds page size"):
+            paged.unpack(struct.Struct("16s"), page, 120)
         with pytest.raises(PageError):
             paged.write(page, 125, b"abcdef")
-        with pytest.raises(PageError):
-            paged.read(page, -1, 4)
+        for offset in (-1, 128 - HEADER.size + 1, 128):
+            with pytest.raises(PageError, match="exceeds page size"):
+                paged.unpack(HEADER, page, offset)
+        assert paged.unpack(HEADER, page, 128 - HEADER.size) == (0, 0)
+        # a layout longer than the whole page never fits
+        with pytest.raises(PageError, match="exceeds page size"):
+            paged.unpack(struct.Struct("129s"), page, 0)
 
     def test_size_accounting(self):
         paged = PagedFile(page_size=256)
@@ -57,7 +73,7 @@ class TestPersistence:
         assert loaded.page_size == 128
         assert loaded.num_pages == 3
         for index in range(3):
-            assert loaded.read(index, 0, 16) == bytes([index]) * 16
+            assert loaded.unpack(struct.Struct("16s"), index, 0) == (bytes([index]) * 16,)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

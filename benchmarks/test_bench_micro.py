@@ -2,7 +2,7 @@
 
 Unlike the table/figure benches (single-shot experiment pipelines), these
 are classic multi-round pytest benchmarks of the hot paths: auxiliary-data
-maintenance, candidate selection, one repartitioner iteration, B+Tree and
+maintenance, candidate selection, one repartitioner iteration,
 record-store operations, and a distributed traversal.
 """
 
@@ -18,7 +18,6 @@ from repro.core.repartitioner import LightweightRepartitioner
 from repro.graph.generators import orkut_like
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
-from repro.storage.btree import BPlusTree
 from repro.storage.graph_store import GraphStore
 
 
@@ -140,28 +139,6 @@ def test_bench_multilevel_partition(benchmark, dataset):
     benchmark.pedantic(
         partitioner.partition, args=(dataset.graph, 8), rounds=3, iterations=1
     )
-
-
-def test_bench_btree_insert(benchmark):
-    keys = list(range(5000))
-    random.Random(2).shuffle(keys)
-
-    def build():
-        tree = BPlusTree(order=64)
-        for key in keys:
-            tree.insert(key, key)
-        return tree
-
-    benchmark.pedantic(build, rounds=3, iterations=1)
-
-
-def test_bench_btree_lookup(benchmark):
-    tree = BPlusTree(order=64)
-    for key in range(5000):
-        tree.insert(key, key)
-    rng = random.Random(3)
-
-    benchmark(lambda: tree.get(rng.randrange(5000)))
 
 
 def test_bench_store_edge_insert(benchmark):

@@ -3,7 +3,7 @@
 Shows the record model the paper describes in Section 4: fixed-size node
 and relationship records with doubly-linked relationship chains, a
 dynamic property store, ghost relationships for cross-partition edges,
-the B+Tree ID index, transactions with timeout-based deadlock handling,
+the hash-map ID index, transactions with timeout-based deadlock handling,
 and checksummed persistence.
 
 Run with::

@@ -362,11 +362,9 @@ class MigrationExecutor:
             # into the arriving copy's chain by ``create_relationship``
             # (it links every local endpoint, available or not) — the
             # mirror then only journals the attach so an abort still
-            # detaches it, without double-linking the chain.
-            if not target.store.chain_contains(arriving, rel_id):
-                target.store.attach_endpoint(rel_id, arriving)
+            # detaches it; ``attach_endpoint`` skips the link itself.
+            existing = target.store.attach_endpoint(rel_id, arriving)
             undo.append(("attach", target.server_id, rel_id, arriving))
-            existing = target.store.relationship(rel_id)
             should_be_ghost = not (primary_here or both_local_eventually)
             if existing.ghost and not should_be_ghost:
                 target.store.set_ghost(rel_id, False)

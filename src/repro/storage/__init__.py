@@ -11,12 +11,11 @@ Python with the same record model:
   the links — so the adjacency list is recovered with purely local reads;
 * cross-partition relationships get a **ghost** counterpart record on the
   remote side that preserves graph structure but carries no properties;
-* a monotonically increasing **ID allocator** plus a **B+Tree** index from
+* a monotonically increasing **ID allocator** plus a hash-map index from
   record ID to storage slot (Hermes replaced Neo4j's offset-based
   addressing because migrated records break contiguous ID allocation).
 """
 
-from repro.storage.btree import BPlusTree
 from repro.storage.durable import DurableRecordStore, DurableTransaction
 from repro.storage.graph_store import GraphStore
 from repro.storage.ids import IdAllocator
@@ -45,7 +44,6 @@ __all__ = [
     "Path",
     "Evaluation",
     "Uniqueness",
-    "BPlusTree",
     "IdAllocator",
     "PagedFile",
     "RecordCodec",

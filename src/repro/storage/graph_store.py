@@ -69,6 +69,18 @@ class StoreStats:
         return self.bytes_nodes + self.bytes_relationships + self.bytes_properties
 
 
+def _linked(node: NodeRecord, record: RelationshipRecord) -> bool:
+    """Whether ``record`` sits in ``node``'s chain: it heads the chain, or
+    ``node`` is one of its endpoints and it has a predecessor there (the
+    O(1) rule of :meth:`GraphStore.chain_contains`)."""
+    node_id = node.node_id
+    if node.first_rel == record.rel_id:
+        return True
+    if node_id != record.src and node_id != record.dst:
+        return False
+    return record.prev_for(node_id) != NULL_REF
+
+
 class GraphStore:
     """The local graph database of one server."""
 
@@ -217,9 +229,9 @@ class GraphStore:
         self._rel_ids.observe(rel_id)
         record = RelationshipRecord(rel_id=rel_id, src=src, dst=dst, ghost=ghost)
         if src_local:
-            record = self._link_into_chain(record, src)
+            record = self._link_into_chain(record, self.nodes.read(src))
         if dst_local:
-            record = self._link_into_chain(record, dst)
+            record = self._link_into_chain(record, self.nodes.read(dst))
         self.relationships.write(record)
         if properties:
             for key, value in properties.items():
@@ -229,11 +241,11 @@ class GraphStore:
         return record
 
     def _link_into_chain(
-        self, record: RelationshipRecord, node_id: int
+        self, record: RelationshipRecord, node: NodeRecord
     ) -> RelationshipRecord:
-        """Head-insert ``record`` into ``node_id``'s chain (record not yet
+        """Head-insert ``record`` into ``node``'s chain (record not yet
         written; the updated record is returned for the caller to write)."""
-        node = self.nodes.read(node_id)
+        node_id = node.node_id
         old_first = node.first_rel
         record = record.with_links_for(node_id, NULL_REF, old_first)
         if old_first != NULL_REF:
@@ -261,9 +273,9 @@ class GraphStore:
     def chain_contains(self, node_id: int, rel_id: int) -> bool:
         """True when ``rel_id`` is already linked into ``node_id``'s chain.
 
-        Guards against double-linking when a record was created with both
-        endpoints local (``create_relationship`` links every local
-        endpoint) and a later path would attach one of them again.
+        The same rule keeps :meth:`attach_endpoint` from double-linking a
+        record created with both endpoints local (``create_relationship``
+        links every local endpoint) when one of them is attached again.
 
         O(1), by the chain-membership invariant: an endpoint's prev/next
         pointers are NULL whenever the record is not in that endpoint's
@@ -275,12 +287,7 @@ class GraphStore:
         node = self.nodes.read(node_id)
         if rel_id not in self.relationships:
             return False
-        if node.first_rel == rel_id:
-            return True
-        record = self.relationships.read(rel_id)
-        if node_id != record.src and node_id != record.dst:
-            return False
-        return record.prev_for(node_id) != NULL_REF
+        return _linked(node, self.relationships.read(rel_id))
 
     def relationship(self, rel_id: int) -> RelationshipRecord:
         return self.relationships.read(rel_id)
@@ -296,18 +303,25 @@ class GraphStore:
         self.relationships.delete(rel_id)
         self._notify_rel_removed(rel_id)
 
-    def attach_endpoint(self, rel_id: int, node_id: int) -> None:
-        """Link an existing relationship record into a local node's chain.
+    def attach_endpoint(self, rel_id: int, node_id: int) -> RelationshipRecord:
+        """Link an existing relationship record into a local node's chain
+        and return the record as it is left.
 
         Used by the migration copy step when the record's counterpart was
         already present here (the other endpoint is local) and a migrating
-        endpoint arrives.
+        endpoint arrives.  A record already in ``node_id``'s chain (by the
+        O(1) rule of :meth:`chain_contains`) is returned as it is, so an
+        endpoint is never linked twice.
         """
         record = self.relationships.read(rel_id)
         if node_id not in self.nodes:
             raise StorageError(f"node {node_id} is not local")
-        record = self._link_into_chain(record, node_id)
+        node = self.nodes.read(node_id)
+        if _linked(node, record):
+            return record
+        record = self._link_into_chain(record, node)
         self.relationships.write(record)
+        return record
 
     def detach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Unlink a relationship from one endpoint's chain, NULLing that

@@ -108,9 +108,6 @@ class NodeStore:
     def records(self) -> Iterator[NodeRecord]:
         return self._store.records()
 
-    def max_id(self) -> Optional[int]:
-        return self._store.max_id()
-
     @property
     def size_bytes(self) -> int:
         return self._store.pages.size_bytes
@@ -120,6 +117,4 @@ class NodeStore:
 
     @classmethod
     def load(cls, path: str) -> "NodeStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(path, NodeCodec())
-        return store
+        return cls(paged_file=PagedFile.load(path))

@@ -123,9 +123,6 @@ class PropertyStore:
     def ids(self) -> Iterator[int]:
         return self._store.ids()
 
-    def max_id(self) -> Optional[int]:
-        return self._store.max_id()
-
     @property
     def size_bytes(self) -> int:
         return self._store.pages.size_bytes + self._dynamic._store.pages.size_bytes
@@ -136,7 +133,7 @@ class PropertyStore:
 
     @classmethod
     def load(cls, index_path: str, dynamic_path: str) -> "PropertyStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(index_path, PropertyCodec())
-        store._dynamic = DynamicStore.load(dynamic_path)
-        return store
+        return cls(
+            paged_file=PagedFile.load(index_path),
+            dynamic_file=PagedFile.load(dynamic_path),
+        )

@@ -3,9 +3,11 @@
 Two storage primitives live here:
 
 * :class:`FixedRecordStore` — struct-packed, fixed-size records placed in
-  page slots.  A B+Tree resolves record ID -> slot because Hermes cannot
+  page slots.  A hash map resolves record ID -> slot because Hermes cannot
   rely on contiguous ID allocation once records migrate between servers
-  (paper Section 4); freed slots are recycled.
+  (paper Section 4); freed slots are recycled LIFO.  No hot path needs
+  the ids in key order, so the few ordered views (``ids()``,
+  ``records()``, ``max_id()``) sort or scan on demand.
 * :class:`DynamicStore` — variable-length blobs split across fixed-size
   chained chunks, exactly like Neo4j's dynamic string/array stores; the
   property store keeps its keys and values here.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import (
     PageError,
@@ -23,7 +25,6 @@ from repro.exceptions import (
     RecordNotFoundError,
     StorageError,
 )
-from repro.storage.btree import BPlusTree
 from repro.storage.pages import PagedFile
 
 #: Null pointer in record link fields (chains end here).
@@ -73,14 +74,9 @@ class RecordCodec(abc.ABC):
 
 
 class FixedRecordStore:
-    """Slotted fixed-size record storage with a B+Tree ID index."""
+    """Slotted fixed-size record storage with a hash-map ID index."""
 
-    def __init__(
-        self,
-        codec: RecordCodec,
-        paged_file: Optional[PagedFile] = None,
-        btree_order: int = 64,
-    ):
+    def __init__(self, codec: RecordCodec, paged_file: Optional[PagedFile] = None):
         self.codec = codec
         self.pages = paged_file or PagedFile()
         self.record_size = codec.record_size
@@ -90,7 +86,8 @@ class FixedRecordStore:
                 f"{self.pages.page_size}"
             )
         self.slots_per_page = self.pages.page_size // self.record_size
-        self._index = BPlusTree(order=btree_order)
+        #: record id -> slot
+        self._index: Dict[int, int] = {}
         self._free_slots: List[int] = []
         self._next_slot = self.pages.num_pages * self.slots_per_page
         if self.pages.num_pages:
@@ -117,7 +114,7 @@ class FixedRecordStore:
         slot = self._index.get(record_id)
         if slot is None:
             slot = self._allocate_slot()
-            self._index.insert(record_id, slot)
+            self._index[record_id] = slot
         page, offset = self._slot_location(slot)
         self.pages.write(page, offset, payload)
 
@@ -153,12 +150,11 @@ class FixedRecordStore:
 
     def delete(self, record_id: int) -> None:
         """Tombstone the record and recycle its slot."""
-        slot = self._index.get(record_id)
+        slot = self._index.pop(record_id, None)
         if slot is None:
             raise RecordNotFoundError(f"record {record_id} not found")
         page, offset = self._slot_location(slot)
         self.pages.write(page, offset, bytes(self.record_size))
-        self._index.delete(record_id)
         self._free_slots.append(slot)
 
     def __contains__(self, record_id: int) -> bool:
@@ -168,19 +164,21 @@ class FixedRecordStore:
         return len(self._index)
 
     def ids(self) -> Iterator[int]:
-        return self._index.keys()
+        """Record ids in ascending order (a snapshot taken on the call)."""
+        return iter(sorted(self._index))
 
     def records(self) -> Iterator[Any]:
-        for record_id in list(self._index.keys()):
+        """Records in ascending id order."""
+        for record_id in sorted(self._index):
             yield self.read(record_id)
 
     def max_id(self) -> Optional[int]:
-        return self._index.max_key()
+        return max(self._index, default=None)
 
     # ------------------------------------------------------------------
     def _rebuild_index(self) -> None:
         """Scan pages after reopening: index in-use slots, free the rest."""
-        self._index = BPlusTree(order=self._index.order)
+        self._index = {}
         self._free_slots = []
         total_slots = self.pages.num_pages * self.slots_per_page
         self._next_slot = total_slots
@@ -192,7 +190,7 @@ class FixedRecordStore:
                     raise StorageError(
                         f"duplicate record id {record_id} found during scan"
                     )
-                self._index.insert(record_id, slot)
+                self._index[record_id] = slot
             else:
                 self._free_slots.append(slot)
 
@@ -290,8 +288,4 @@ class DynamicStore:
 
     @classmethod
     def load(cls, path: str) -> "DynamicStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(path, _ChunkCodec())
-        max_existing = store._store.max_id()
-        store._next_chunk_id = 0 if max_existing is None else max_existing + 1
-        return store
+        return cls(paged_file=PagedFile.load(path))

@@ -159,9 +159,6 @@ class RelationshipStore:
     def records(self) -> Iterator[RelationshipRecord]:
         return self._store.records()
 
-    def max_id(self) -> Optional[int]:
-        return self._store.max_id()
-
     @property
     def size_bytes(self) -> int:
         return self._store.pages.size_bytes
@@ -171,6 +168,4 @@ class RelationshipStore:
 
     @classmethod
     def load(cls, path: str) -> "RelationshipStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(path, RelationshipCodec())
-        return store
+        return cls(paged_file=PagedFile.load(path))

@@ -1,10 +1,14 @@
 """Differential tests for the migration storage hot path.
 
 ``GraphStore.chain_contains`` answers from the record's own pointers in
-O(1), and ``GraphStore.retire_node`` drops a vertex and its whole chain in
-one walk.  Both are checked here against the code they replace:
+O(1), ``GraphStore.attach_endpoint`` skips a record already linked by the
+same rule, and ``GraphStore.retire_node`` drops a vertex and its whole
+chain in one walk.  All three are checked here against the code they
+replace:
 
 * a full chain walk, kept in this file as the membership oracle;
+* the copy-step merge that guarded an unconditional link with
+  ``chain_contains`` and then re-read the record (three reads of it);
 * the per-record ``detach_endpoint`` / ``delete_relationship`` loop that
   the migration remove step and ``delete_node`` ran before, copied here
   verbatim — the stores it leaves must be byte-identical on disk and the
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.hermes import HermesCluster
 from repro.core.migration import build_migration_plan
+from repro.exceptions import StorageError
 from repro.storage.graph_store import GraphStore
 from repro.storage.records import NULL_REF
 
@@ -59,6 +64,57 @@ def legacy_retire(store, node_id, kept_ghost=None):
         if store.relationship(entry.rel_id).ghost != ghost:
             store.set_ghost(entry.rel_id, ghost)
     store.remove_node_record(node_id)
+
+
+def legacy_attach(store, rel_id, node_id):
+    """The guarded link the copy-step merge ran before ``attach_endpoint``
+    skipped a linked record itself; returns the record re-read."""
+    if rel_id not in walked_chain(store, node_id):
+        record = store.relationship(rel_id)
+        if not store.has_node(node_id):
+            raise StorageError(f"node {node_id} is not local")
+        node = store.node(node_id)
+        store.relationships.write(store._link_into_chain(record, node))
+    return store.relationship(rel_id)
+
+
+def legacy_install_relationship(executor, target, arriving, rel, final_home, undo):
+    """``MigrationExecutor._install_relationship`` before the merge branch
+    made a single ``attach_endpoint`` call."""
+    rel_id = rel["rel_id"]
+    src, dst = rel["src"], rel["dst"]
+    other = dst if arriving == src else src
+    other_home = executor._home_after(other, final_home)
+    here = target.server_id
+    primary_here = executor._home_after(src, final_home) == here
+    both_local_eventually = other_home == here
+
+    if target.store.has_relationship(rel_id):
+        legacy_attach(target.store, rel_id, arriving)
+        undo.append(("attach", target.server_id, rel_id, arriving))
+        existing = target.store.relationship(rel_id)
+        should_be_ghost = not (primary_here or both_local_eventually)
+        if existing.ghost and not should_be_ghost:
+            target.store.set_ghost(rel_id, False)
+            undo.append(("ghost", target.server_id, rel_id, True, {}))
+        elif not existing.ghost and should_be_ghost:
+            old_props = target.store.relationship_properties(rel_id)
+            target.store.set_ghost(rel_id, True)
+            undo.append(("ghost", target.server_id, rel_id, False, old_props))
+        if not should_be_ghost:
+            for key, value in rel.get("properties", {}).items():
+                had = key in target.store.relationship_properties(rel_id)
+                old = target.store.get_relationship_property(rel_id, key)
+                target.store.set_relationship_property(rel_id, key, value)
+                undo.append(("prop", target.server_id, rel_id, key, had, old))
+        return
+
+    ghost = not (primary_here or both_local_eventually)
+    properties = rel.get("properties", {}) if not ghost else None
+    target.store.create_relationship(
+        rel_id, src, dst, ghost=ghost, properties=properties or None
+    )
+    undo.append(("create_rel", target.server_id, rel_id))
 
 
 def legacy_remove_one(executor, move, final_home, report):
@@ -154,7 +210,7 @@ def retire_decider(store, node_id, rng):
     return lambda record: choices[record.rel_id]
 
 
-def apply_op(store, op, a, b, flag, rng, retire):
+def apply_op(store, op, a, b, flag, rng, retire, attach):
     """One schedule step; a step whose precondition fails is a no-op."""
     rel_ids = sorted(store.relationships.ids())
     if op == "node":
@@ -176,8 +232,10 @@ def apply_op(store, op, a, b, flag, rng, retire):
         rel_id = rel_ids[a % len(rel_ids)]
         record = store.relationship(rel_id)
         end = record.src if flag else record.dst
-        if op == "attach" and store.has_node(end) and not linked(store, end, rel_id):
-            store.attach_endpoint(rel_id, end)
+        if op == "attach" and store.has_node(end):
+            # Linked or not: a linked record must come back unchanged.
+            assert attach(store, rel_id, end) == store.relationship(rel_id)
+            assert linked(store, end, rel_id)
         elif op == "detach" and linked(store, end, rel_id):
             store.detach_endpoint(rel_id, end)
     elif op == "ghost":
@@ -232,7 +290,8 @@ def retire_fast(store, node_id, kept_ghost):
 @settings(max_examples=80, deadline=None)
 def test_chain_contains_and_retire_match_reference(seed, length):
     """After every step ``chain_contains`` equals the full-walk oracle, and
-    a twin store driven through the old per-record loop stays identical."""
+    a twin store driven through the old guarded attach and per-record
+    retire loop stays identical."""
     steps = random_schedule(random.Random(seed), length)
     fast, slow = GraphStore(), GraphStore()
     for store in (fast, slow):
@@ -241,8 +300,10 @@ def test_chain_contains_and_retire_match_reference(seed, length):
         store.observer = RecordingObserver()
     fast_rng, slow_rng = random.Random(seed + 1), random.Random(seed + 1)
     for op, a, b, flag in steps:
-        apply_op(fast, op, a, b, flag, fast_rng, retire_fast)
-        apply_op(slow, op, a, b, flag, slow_rng, legacy_retire)
+        apply_op(
+            fast, op, a, b, flag, fast_rng, retire_fast, GraphStore.attach_endpoint
+        )
+        apply_op(slow, op, a, b, flag, slow_rng, legacy_retire, legacy_attach)
         assert_membership_matches_oracle(fast)
         assert fast.observer.log == slow.observer.log
         for node_id in fast.node_ids():
@@ -296,13 +357,17 @@ def migrate(cluster, moves):
 )
 @settings(max_examples=25, deadline=None)
 def test_single_walk_remove_step_matches_legacy_loop(seed, num_vertices, num_servers):
-    """Identical clusters, identical random plans: the remove step on the
-    single walk and on the old per-record loop leave every server's saved
-    files byte-identical, with identical reports and notifications."""
+    """Identical clusters, identical random plans: the single-walk remove
+    step and single-read copy-step merge, against the old per-record
+    remove loop and three-read merge, leave every server's saved files
+    byte-identical, with identical reports and notifications."""
     fast = build_cluster(seed, num_vertices, num_servers)
     slow = build_cluster(seed, num_vertices, num_servers)
     slow._executor._remove_one = lambda move, final_home, report: (
         legacy_remove_one(slow._executor, move, final_home, report)
+    )
+    slow._executor._install_relationship = lambda *args: (
+        legacy_install_relationship(slow._executor, *args)
     )
     for fast_server, slow_server in zip(fast.servers, slow.servers):
         fast_server.store.observer = RecordingObserver()
